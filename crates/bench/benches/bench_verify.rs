@@ -41,8 +41,8 @@ fn auditor_with(zones: usize) -> Auditor {
     a
 }
 
-fn verify_submission(c: &mut Criterion) {
-    let mut group = c.benchmark_group("verify_submission");
+fn verify_poa(c: &mut Criterion) {
+    let mut group = c.benchmark_group("verify_poa");
     group.sample_size(10);
     for (len, zones) in [(50usize, 1usize), (50, 100), (500, 1), (500, 100)] {
         let poa = signed_trace(len);
@@ -101,5 +101,5 @@ fn wire_codec(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, verify_submission, encrypted_round_trip, wire_codec);
+criterion_group!(benches, verify_poa, encrypted_round_trip, wire_codec);
 criterion_main!(benches);

@@ -31,7 +31,6 @@ use alidrone_bench::harness::{black_box, BatchSize, Bencher};
 use alidrone_core::audit::{verify_inclusion, AuditChain};
 use alidrone_core::journal::{Journal, MemBackend, Record, StorageBackend};
 use alidrone_core::repl::{Follower, InProcessLink, ReplicationPolicy, Replicator};
-use alidrone_core::verify_pool::VerifyPool;
 use alidrone_core::wire::server::AuditorServer;
 use alidrone_core::wire::tcp::{TcpServer, TcpTransport};
 use alidrone_core::wire::transport::AuditorClient;
@@ -172,38 +171,6 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
                     bench_key(512).public_key().clone(),
                     bench_key(512).public_key().clone(),
                 );
-                a
-            },
-            |a| {
-                a.verify(&submission, Timestamp::from_secs(0.0))
-                    .expect("verify submission")
-            },
-            BatchSize::SmallInput,
-        );
-    });
-
-    // --- The same 50-sample verification with a verify pool installed:
-    // per-entry signature checks fan across 4 workers plus the caller.
-    run("poa_verify_batch_50", &mut |b| {
-        let pool = Arc::new(VerifyPool::new(4, &Obs::noop()));
-        let submission = Submission::plain(PoaSubmission {
-            drone_id: DroneId::new(1),
-            window_start: Timestamp::from_secs(0.0),
-            window_end: Timestamp::from_secs(49.0),
-            poa: signed_trace(50),
-        });
-        b.iter_batched(
-            || {
-                let a = Auditor::new(AuditorConfig::default(), bench_key(512).clone());
-                a.register_zone(NoFlyZone::new(
-                    origin().destination(0.0, Distance::from_km(5.0)),
-                    Distance::from_meters(100.0),
-                ));
-                a.register_drone(
-                    bench_key(512).public_key().clone(),
-                    bench_key(512).public_key().clone(),
-                );
-                assert!(a.install_verify_pool(Arc::clone(&pool)));
                 a
             },
             |a| {

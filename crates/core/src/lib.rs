@@ -61,13 +61,11 @@ mod test_support;
 mod zone_owner;
 
 pub mod audit;
-pub mod cache;
 pub mod journal;
 pub mod privacy;
 pub mod repl;
 pub mod sampling;
 pub mod symmetric;
-pub mod verify_pool;
 pub mod wire;
 
 pub use auditor::{

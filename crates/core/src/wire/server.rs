@@ -22,7 +22,6 @@ use alidrone_obs::{
 use crate::auditor::{AccusationOutcome, Auditor};
 use crate::messages::{PoaSubmission, Submission};
 use crate::poa::ProofOfAlibi;
-use crate::verify_pool::VerifyPool;
 use crate::wire::{
     request_cost, request_kind_index, source_drone, split_envelope_ext, ErrorCode, Request,
     Response, REQUEST_KINDS,
@@ -280,7 +279,6 @@ pub struct AuditorServerBuilder {
     rate_limit: Option<RateLimitConfig>,
     handle_delay: Option<HandleDelay>,
     scrape: Option<SocketAddr>,
-    verify_threads: Option<usize>,
 }
 
 impl AuditorServerBuilder {
@@ -347,16 +345,6 @@ impl AuditorServerBuilder {
         self
     }
 
-    /// Worker-thread count for the shared signature-verification pool
-    /// the server installs on its auditor (default: the machine's
-    /// available parallelism). Large PoA batches fan their per-entry
-    /// signature checks across this pool instead of running serially on
-    /// the request worker. Pass 0 to disable the pool entirely.
-    pub fn verify_threads(mut self, n: usize) -> Self {
-        self.verify_threads = Some(n);
-        self
-    }
-
     /// Mounts a live introspection endpoint on `addr` (port 0 for an
     /// OS-assigned port — read it back with
     /// [`AuditorServer::scrape_addr`]). The endpoint serves
@@ -374,15 +362,6 @@ impl AuditorServerBuilder {
     /// [`AuditorServer::scrape_addr`] returns `None`.
     pub fn build(self) -> AuditorServer {
         let metrics = ServerMetrics::new(&self.obs);
-        let pool = match self.verify_threads {
-            Some(0) => None,
-            Some(n) => Some(Arc::new(VerifyPool::new(n, &self.obs))),
-            None => Some(Arc::new(VerifyPool::for_machine(&self.obs))),
-        };
-        if let Some(pool) = pool {
-            // Keeps a pool the caller installed on the auditor directly.
-            let _ = self.auditor.install_verify_pool(pool);
-        }
         let scrape = self.scrape.and_then(|addr| {
             let mut sources =
                 ScrapeSources::new(&self.obs).with_slow_table(Arc::clone(&metrics.slow));
@@ -428,7 +407,6 @@ impl AuditorServer {
             rate_limit: None,
             handle_delay: None,
             scrape: None,
-            verify_threads: None,
         }
     }
 

@@ -1,21 +1,19 @@
-//! Batch-vs-serial verdict equivalence for the verification pipeline.
+//! Expected signature verdicts for the verification pipeline.
 //!
-//! An auditor with a [`VerifyPool`] installed fans per-entry signature
-//! checks across worker threads and aborts a batch early at the first
-//! failure; an auditor without one checks entries serially. The two must
-//! be observationally identical: same verdict, same failing index, for
-//! honest traces and for every signature-forgery strategy. This campaign
-//! drives both through 50 deterministic seeds, each seed picking a trace
-//! shape and an adversarial mutation.
+//! Step 2 checks every entry's TEE signature in order and reports the
+//! first failure. This campaign drives 50 deterministic seeds, each
+//! picking a trace shape and an adversarial mutation, and checks the
+//! verdict against what the mutation implies: a forged, tampered or
+//! corrupted entry is `BadSignature` at its index, several forgeries
+//! report the lowest, an honest trace never fails step 2, and a
+//! resubmission gets the same verdict again.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use alidrone_core::verify_pool::VerifyPool;
-use alidrone_core::{Auditor, AuditorConfig, PoaSubmission, ProofOfAlibi, Submission};
+use alidrone_core::{Auditor, AuditorConfig, PoaSubmission, ProofOfAlibi, Submission, Verdict};
 use alidrone_crypto::rng::{Rng, XorShift64};
 use alidrone_crypto::rsa::{HashAlg, RsaPrivateKey};
 use alidrone_geo::{Distance, GeoPoint, GpsSample, NoFlyZone, Timestamp};
-use alidrone_obs::Obs;
 use alidrone_tee::SignedSample;
 
 const SEEDS: u64 = 50;
@@ -52,8 +50,7 @@ fn in_range(rng: &mut XorShift64, lo: f64, hi: f64) -> f64 {
     lo + rng.gen_f64() * (hi - lo)
 }
 
-/// A physically plausible honest trace, long enough that the pooled
-/// auditor always takes the batched path (its floor is 4 entries).
+/// A physically plausible honest trace of 8–31 entries.
 fn arb_trace(rng: &mut XorShift64) -> Vec<SignedSample> {
     let n = 8 + rng.gen_range_u64(24) as usize;
     let speed = in_range(rng, 0.0, 40.0);
@@ -73,12 +70,13 @@ fn arb_trace(rng: &mut XorShift64) -> Vec<SignedSample> {
 
 /// The adversarial mutations a dishonest operator can apply without the
 /// TEE key. `kind` cycles so the 50 seeds cover each several times.
-fn mutate(trace: &mut [SignedSample], kind: u64, rng: &mut XorShift64) {
+/// Returns the index step 2 must report, or `None` for an honest trace.
+fn mutate(trace: &mut [SignedSample], kind: u64, rng: &mut XorShift64) -> Option<usize> {
     let idx = rng.gen_range_u64(trace.len() as u64) as usize;
     let entry = &trace[idx];
     match kind {
         // Honest: leave the trace alone.
-        0 => {}
+        0 => return None,
         // Forge: re-sign one sample with a non-TEE key.
         1 => {
             let sig = forger_key()
@@ -105,25 +103,26 @@ fn mutate(trace: &mut [SignedSample], kind: u64, rng: &mut XorShift64) {
             trace[idx] = SignedSample::from_parts(*entry.sample(), sig, HashAlg::Sha1);
         }
         // Multi-forge: several bad entries — the reported index must be
-        // the lowest one, exactly as the serial scan finds it.
+        // the lowest one.
         _ => {
+            let mut lowest = usize::MAX;
             for _ in 0..3 {
                 let i = rng.gen_range_u64(trace.len() as u64) as usize;
                 let sig = forger_key()
                     .sign(&trace[i].sample().to_bytes(), HashAlg::Sha1)
                     .unwrap();
                 trace[i] = SignedSample::from_parts(*trace[i].sample(), sig, HashAlg::Sha1);
+                lowest = lowest.min(i);
             }
+            return Some(lowest);
         }
     }
+    Some(idx)
 }
 
-/// Builds a registered auditor, optionally with a verify pool installed.
-fn auditor(pooled: bool) -> (Auditor, alidrone_core::DroneId) {
+/// Builds an auditor with the TEE key registered and one zone nearby.
+fn auditor() -> (Auditor, alidrone_core::DroneId) {
     let a = Auditor::new(AuditorConfig::default(), auditor_key().clone());
-    if pooled {
-        assert!(a.install_verify_pool(Arc::new(VerifyPool::new(4, &Obs::noop()))));
-    }
     let id = a.register_drone(
         forger_key().public_key().clone(),
         tee_key().public_key().clone(),
@@ -136,42 +135,37 @@ fn auditor(pooled: bool) -> (Auditor, alidrone_core::DroneId) {
 }
 
 #[test]
-fn batched_and_serial_verdicts_agree_across_seeds() {
+fn signature_verdicts_match_the_mutation_across_seeds() {
     for seed in 0..SEEDS {
         let mut rng = XorShift64::seed_from_u64(0x50A1 ^ seed);
         let mut trace = arb_trace(&mut rng);
-        mutate(&mut trace, seed % 5, &mut rng);
-        let window_start = trace.first().unwrap().sample().time();
-        let window_end = trace.last().unwrap().sample().time();
+        let bad = mutate(&mut trace, seed % 5, &mut rng);
+        let (a, id) = auditor();
+        let submission = Submission::plain(PoaSubmission {
+            drone_id: id,
+            window_start: trace.first().unwrap().sample().time(),
+            window_end: trace.last().unwrap().sample().time(),
+            poa: ProofOfAlibi::from_entries(trace),
+        });
 
-        let (serial, serial_id) = auditor(false);
-        let (pooled, pooled_id) = auditor(true);
-        assert_eq!(serial_id, pooled_id);
+        let first = a.verify(&submission, Timestamp::EPOCH).unwrap();
+        match bad {
+            Some(index) => assert_eq!(
+                first.verdict,
+                Verdict::BadSignature { index },
+                "seed {seed}: wrong signature verdict"
+            ),
+            None => assert!(
+                !matches!(first.verdict, Verdict::BadSignature { .. }),
+                "seed {seed}: honest trace failed step 2: {}",
+                first.verdict
+            ),
+        }
 
-        let submission = |id| {
-            Submission::plain(PoaSubmission {
-                drone_id: id,
-                window_start,
-                window_end,
-                poa: ProofOfAlibi::from_entries(trace.clone()),
-            })
-        };
-        let a = serial
-            .verify(&submission(serial_id), Timestamp::EPOCH)
-            .unwrap();
-        let b = pooled
-            .verify(&submission(pooled_id), Timestamp::EPOCH)
-            .unwrap();
+        let again = a.verify(&submission, Timestamp::EPOCH).unwrap();
         assert_eq!(
-            a.verdict, b.verdict,
-            "seed {seed}: batched verdict diverged from serial"
+            first.verdict, again.verdict,
+            "seed {seed}: resubmission changed the verdict"
         );
-
-        // Resubmission hits the pooled auditor's verify-result cache;
-        // the verdict must not change.
-        let c = pooled
-            .verify(&submission(pooled_id), Timestamp::EPOCH)
-            .unwrap();
-        assert_eq!(b.verdict, c.verdict, "seed {seed}: cached verdict diverged");
     }
 }

@@ -4,21 +4,34 @@
 //! paths (the auditor request loop, the modelled secure world) is that
 //! the *disabled* path — no subscriber installed — costs a few atomic
 //! operations and never touches the heap. A counting global allocator
-//! measures exactly that.
+//! measures exactly that, per thread: the test harness runs tests on
+//! parallel threads, and a process-wide count would charge a sibling
+//! test's allocations to the one being measured.
 
 use alidrone_geo::Duration;
 use alidrone_obs::{Level, Obs, RingBuffer};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A const-initialised `Cell` needs no lazy setup or destructor, so
+    // bumping it from inside the allocator cannot itself allocate.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread. `try_with` fails only
+/// while the thread's locals are being torn down; those allocations
+/// happen after any measurement on that thread has finished.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -27,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -35,10 +48,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made by this thread while `f` runs.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// The counter is live: a heap allocation on this thread is seen.
+#[test]
+fn counter_sees_this_threads_allocations() {
+    let n = allocations_during(|| drop(std::hint::black_box(vec![1u8; 64])));
+    assert!(n >= 1, "allocation not counted");
 }
 
 /// Counters, histograms, spans, and gated events: zero allocations

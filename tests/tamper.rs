@@ -32,7 +32,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use alidrone::core::audit::{verify_consistency, verify_inclusion, Hash};
 use alidrone::core::journal::{crc32, MemBackend, Record, StorageBackend, HEADER_LEN};
 use alidrone::core::repl::{Follower, ReplError, ReplFrame};
-use alidrone::core::{Auditor, AuditorConfig, DroneId, PoaSubmission, ProofOfAlibi, ProtocolError};
+use alidrone::core::{
+    Auditor, AuditorConfig, DroneId, PoaSubmission, ProofOfAlibi, ProtocolError, Submission,
+};
 use alidrone::crypto::rng::{Rng, XorShift64};
 use alidrone::crypto::rsa::{HashAlg, RsaPrivateKey};
 use alidrone::geo::{Distance, GeoPoint, GpsSample, NoFlyZone, Timestamp};
@@ -85,7 +87,7 @@ fn config() -> AuditorConfig {
 
 /// A small compliant PoA: samples signed directly under the cached TEE
 /// key (what a real enclave would emit), far from every zone.
-fn submission(drone_id: DroneId, base_t: f64, n: usize) -> PoaSubmission {
+fn submission(drone_id: DroneId, base_t: f64, n: usize) -> Submission {
     let entries = (0..n)
         .map(|i| {
             let sample = GpsSample::new(
@@ -98,12 +100,12 @@ fn submission(drone_id: DroneId, base_t: f64, n: usize) -> PoaSubmission {
             SignedSample::from_parts(sample, sig, HashAlg::Sha1)
         })
         .collect();
-    PoaSubmission {
+    Submission::Plain(PoaSubmission {
         drone_id,
         window_start: Timestamp::from_secs(base_t),
         window_end: Timestamp::from_secs(base_t + (n - 1) as f64),
         poa: ProofOfAlibi::from_entries(entries),
-    }
+    })
 }
 
 /// What an honest client retains: the final signed tree head plus the
@@ -134,7 +136,7 @@ fn honest_run(n_ops: usize) -> HonestRun {
     for i in 0..n_ops {
         if i % 4 == 1 {
             let rep = a
-                .verify_submission(&submission(drone, i as f64 * 10.0, 4), Timestamp::EPOCH)
+                .verify(&submission(drone, i as f64 * 10.0, 4), Timestamp::EPOCH)
                 .expect("submission");
             assert!(
                 rep.is_compliant(),
@@ -464,13 +466,13 @@ fn consistency_survives_compaction() {
         .register_drone_durable(key(3).public_key().clone(), tee_key().public_key().clone())
         .unwrap();
     a.register_zone_durable(zone(0)).unwrap();
-    a.verify_submission(&submission(drone, 0.0, 4), Timestamp::EPOCH)
+    a.verify(&submission(drone, 0.0, 4), Timestamp::EPOCH)
         .unwrap();
     let sth1 = a.signed_tree_head().unwrap();
 
     a.compact_journal().unwrap();
     a.register_zone_durable(zone(1)).unwrap();
-    a.verify_submission(&submission(drone, 50.0, 4), Timestamp::EPOCH)
+    a.verify(&submission(drone, 50.0, 4), Timestamp::EPOCH)
         .unwrap();
 
     let (b, rep) =
